@@ -268,9 +268,9 @@ func BenchmarkEngineTransitiveClosure(b *testing.B) {
 }
 
 // closureAllocCeiling bounds allocations per sequential closure iteration.
-// The evaluator reuses its evalEnv, delta projection indexes and per-rule
-// frames across fixpoint rounds, so allocs/op is dominated by tuple
-// storage for the ~60k derived reachable facts (measured: ~131k allocs/op).
+// The evaluator reuses per-rule frames across fixpoint rounds and its delta
+// plans scan the delta tuples in place, so allocs/op is dominated by tuple
+// storage for the ~60k derived reachable facts (measured: ~126k allocs/op).
 // The ceiling has ~50% headroom and catches a reintroduced per-round or
 // per-delta-tuple allocation, which multiplies that figure.
 const closureAllocCeiling = 200_000

@@ -204,7 +204,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.Compiled = res
 
-	ts, err := seccrypto.NewTrustSetup(c.Principals, seccrypto.NewDeterministicRand(cfg.Seed+1))
+	// Only the RSA schemes read RSA keys (private_key[], public_key, the
+	// directory's PubKeyDER, batch signing); the rest need the secrets.
+	trustSetup := seccrypto.NewSecretsTrustSetup
+	if cfg.Policy.Auth == AuthRSA {
+		trustSetup = seccrypto.NewTrustSetup
+	}
+	ts, err := trustSetup(c.Principals, seccrypto.NewDeterministicRand(cfg.Seed+1))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 	"sync"
@@ -500,6 +501,62 @@ func TestPolicyNames(t *testing.T) {
 	for want, cfg := range cases {
 		if got := cfg.Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestClusterKeyMaterialFollowsPolicy: only the RSA schemes generate RSA
+// keys. A NoAuth or HMAC cluster holds no private key and publishes none
+// in its directory, and HMAC's pairwise secrets are a function of the seed.
+// An RSA cluster still publishes every node's own public key, and every
+// node's keystore agrees with the directory.
+func TestClusterKeyMaterialFollowsPolicy(t *testing.T) {
+	build := func(p PolicyConfig, seed int64) *Cluster {
+		c, err := NewCluster(ClusterConfig{N: 3, Policy: p, Query: reachableQuery, Seed: seed})
+		if err != nil {
+			t.Fatalf("%s: NewCluster: %v", p.Name(), err)
+		}
+		t.Cleanup(c.Stop)
+		return c
+	}
+	for _, p := range []PolicyConfig{{Auth: AuthNone}, {Auth: AuthHMAC}, {Auth: AuthNone, Encrypt: true}} {
+		c := build(p, 5)
+		for i, ks := range c.KeyStores {
+			if ks.PrivateKey() != nil {
+				t.Errorf("%s: node %d holds an RSA private key", p.Name(), i)
+			}
+			if der := c.Directory.Members[i].PubKeyDER; der != nil {
+				t.Errorf("%s: directory publishes a public key for node %d", p.Name(), i)
+			}
+		}
+	}
+
+	a, b := build(PolicyConfig{Auth: AuthHMAC}, 5), build(PolicyConfig{Auth: AuthHMAC}, 5)
+	for i, p := range a.Principals {
+		for j, q := range a.Principals {
+			if i == j {
+				continue
+			}
+			s := a.KeyStores[i].Secret(q)
+			if len(s) == 0 || !bytes.Equal(s, b.KeyStores[i].Secret(q)) || !bytes.Equal(s, a.KeyStores[j].Secret(p)) {
+				t.Fatalf("HMAC secret %s-%s is missing, asymmetric or not seed-deterministic", p, q)
+			}
+		}
+	}
+
+	rc := build(PolicyConfig{Auth: AuthRSA}, 5)
+	for i, m := range rc.Directory.Members {
+		priv := rc.KeyStores[i].PrivateKey()
+		if priv == nil {
+			t.Fatalf("RSA: node %d has no private key", i)
+		}
+		if !bytes.Equal(m.PubKeyDER, seccrypto.MarshalPublicKey(&priv.PublicKey)) {
+			t.Errorf("RSA: directory key of node %d is not its own public key", i)
+		}
+		for j, ks := range rc.KeyStores {
+			if !bytes.Equal(ks.PublicKeyDER(m.Principal), m.PubKeyDER) {
+				t.Errorf("RSA: node %d's keystore disagrees with the directory on node %d", j, i)
+			}
 		}
 	}
 }

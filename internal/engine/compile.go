@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"secureblox/internal/datalog"
@@ -43,9 +44,19 @@ type step struct {
 	keyCols   []int     // match on a functional predicate: [0..KeyArity)
 	useFn     bool      // match: all key columns bound → functional lookup
 	probeIdx  *colIndex // secondary index registered for boundCols
-	// cse marks a match against a memoized shared-subplan relation installed
-	// by common-subexpression elimination; evaluating it counts as a CSE hit.
-	cse bool
+	// delta marks the leading step of a delta plan: its candidates are the
+	// round's delta tuples for pred, scanned, never the stored relation.
+	delta bool
+}
+
+// deltaPlan is a rule body (or constraint LHS) planned for semi-naïve
+// evaluation with one match atom restricted to the round's delta. That atom
+// runs first, as a scan of the delta tuples, and planSteps orders the rest
+// of the body under the bindings it supplies — so evaluation cost follows
+// the size of the delta, not of the relations planned ahead of it.
+type deltaPlan struct {
+	pred  string
+	steps []step // steps[0] is the delta atom
 }
 
 // headEx is a head-existential variable with its entity type.
@@ -64,7 +75,9 @@ type CompiledRule struct {
 	bodyVars []string // sorted variable names bound by the body
 	exVars   []headEx
 	agg      *datalog.AggSpec
-	deltaIdx []int // indexes of stepMatch steps, for semi-naïve rotation
+	// deltas holds one plan per match step of a non-aggregate rule; steps
+	// stays the plan for full evaluation and aggregate recompute.
+	deltas []deltaPlan
 
 	nSlots      int
 	slotNames   []string
@@ -73,9 +86,8 @@ type CompiledRule struct {
 	bodySlots   []int // slots of bodyVars, in the same (name-sorted) order
 	aggOverSlot int   // slot of agg.Over, -1 when absent
 
-	// bound carries the planner's bound-variable set between planRule and
-	// finalizeRule so Install can run cross-rule passes (CSE) on planned
-	// steps; finalizeRule clears it.
+	// bound carries the planner's bound-variable set from planRule to
+	// finalizeRule (and the analyzer's plan view); finalizeRule clears it.
 	bound map[string]bool
 	// parSafe marks rules a fixpoint worker may evaluate concurrently:
 	// no head-existential entity creation, no UDF steps, no aggregation —
@@ -92,10 +104,10 @@ func (r *CompiledRule) String() string { return r.src.String() }
 // CompiledConstraint is a planned integrity constraint. LHS and RHS share
 // one slot space so an LHS binding seeds the RHS satisfiability query.
 type CompiledConstraint struct {
-	src      *datalog.Constraint
-	lhsSteps []step
-	rhsSteps []step
-	lhsIdx   []int // indexes of stepMatch steps in lhsSteps
+	src       *datalog.Constraint
+	lhsSteps  []step
+	rhsSteps  []step
+	lhsDeltas []deltaPlan // one LHS plan per match step, for incremental checks
 
 	nSlots    int
 	slotNames []string
@@ -440,12 +452,56 @@ func planSteps(unplanned []step, bound map[string]bool) ([]step, error) {
 	return out, nil
 }
 
+// planDeltas builds one delta plan per match step of a planned (not yet
+// finalized) body: that step first, the rest re-planned by planSteps under
+// the variables it binds.
+func planDeltas(steps []step) ([]deltaPlan, error) {
+	var plans []deltaPlan
+	for j := range steps {
+		if steps[j].kind != stepMatch {
+			continue
+		}
+		first := steps[j]
+		first.delta, first.boundCols = true, nil
+		bound := map[string]bool{}
+		for _, t := range first.atom.Args {
+			if v, ok := t.(datalog.Var); ok {
+				bound[v.Name] = true
+			}
+		}
+		rest := append(append(make([]step, 0, len(steps)-1), steps[:j]...), steps[j+1:]...)
+		planned, err := planSteps(rest, bound)
+		if err != nil {
+			return nil, fmt.Errorf("delta on %s: %w", first.atom, err)
+		}
+		plans = append(plans, deltaPlan{pred: first.pred, steps: append([]step{first}, planned...)})
+	}
+	return plans, nil
+}
+
+// fnLookup reports whether a match over a relation with the given key arity
+// reads by functional lookup: every key column is among boundCols (which
+// only ever holds Const / bound-Var positions, so membership alone decides
+// whether a key column carries a value at runtime).
+func fnLookup(keyArity, arity int, boundCols []int) bool {
+	if keyArity < 0 || keyArity > arity {
+		return false
+	}
+	for k := 0; k < keyArity; k++ {
+		if !slices.Contains(boundCols, k) {
+			return false
+		}
+	}
+	return true
+}
+
 // finalizeSteps compiles each planned step's terms against the slot
 // allocator and selects its access path: functional lookup when every key
 // column is bound, otherwise a secondary hash index over the step's
 // bound-column signature, registered with the relation now so every later
 // probe is O(1). Fully bound and fully unbound steps need no index (they
-// are membership checks and leading scans respectively).
+// are membership checks and leading scans respectively), and neither does a
+// delta step, which scans the round's delta tuples.
 func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 	for i := range steps {
 		s := &steps[i]
@@ -454,32 +510,14 @@ func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 			s.args = sa.compileAtom(s.atom)
 			s.rel = w.ensureRelation(s.pred)
 			arity := len(s.atom.Args)
-			if s.kind == stepMatch {
-				if ka := s.rel.schema.KeyArity; ka >= 0 && ka <= arity {
-					// boundCols only ever holds Const / bound-Var positions,
-					// so membership alone decides whether a key column will
-					// carry a value at runtime.
-					allKeys := true
-					for k := 0; k < ka; k++ {
-						found := false
-						for _, c := range s.boundCols {
-							if c == k {
-								found = true
-								break
-							}
-						}
-						if !found {
-							allKeys = false
-							break
-						}
-					}
-					if allKeys {
-						s.useFn = true
-						s.keyCols = make([]int, ka)
-						for k := range s.keyCols {
-							s.keyCols[k] = k
-						}
-					}
+			if s.delta {
+				continue
+			}
+			if s.kind == stepMatch && fnLookup(s.rel.schema.KeyArity, arity, s.boundCols) {
+				s.useFn = true
+				s.keyCols = make([]int, s.rel.schema.KeyArity)
+				for k := range s.keyCols {
+					s.keyCols[k] = k
 				}
 			}
 			if !s.useFn && len(s.boundCols) > 0 && len(s.boundCols) < arity {
@@ -509,23 +547,11 @@ func describeStep(s step) string {
 	}
 }
 
-// compileRule plans a rule for execution: normalize and order the body, then
-// fix the slot-addressed execution form. Install splits the two phases so
-// common-subexpression elimination can rewrite planned step lists in between.
-func (w *Workspace) compileRule(r *datalog.Rule) (*CompiledRule, error) {
-	cr, err := w.planRule(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.finalizeRule(cr); err != nil {
-		return nil, err
-	}
-	return cr, nil
-}
-
-// planRule normalizes a rule and orders its body into planned steps. The
-// returned rule carries the planner's bound-variable set (cr.bound) and has
-// no slot numbering yet — finalizeRule fixes the execution form.
+// planRule normalizes a rule and orders its body into planned steps, plus
+// one delta plan per body match unless the rule aggregates (aggregates are
+// recomputed in full). The returned rule carries the planner's
+// bound-variable set (cr.bound) and has no slot numbering yet —
+// finalizeRule fixes the execution form.
 func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
 	c := &compiler{w: w}
 	body, err := c.normalizeLiterals(r.Body)
@@ -562,16 +588,26 @@ func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rule %s: %w", r, err)
 	}
-	return &CompiledRule{src: r, heads: heads, steps: steps, agg: r.Agg, aggOverSlot: -1, bound: bound}, nil
+	var deltas []deltaPlan
+	if r.Agg == nil {
+		if deltas, err = planDeltas(steps); err != nil {
+			return nil, fmt.Errorf("rule %s: %w", r, err)
+		}
+	}
+	return &CompiledRule{src: r, heads: heads, steps: steps, deltas: deltas, agg: r.Agg, aggOverSlot: -1, bound: bound}, nil
 }
 
 // finalizeRule compiles a planned rule's execution form: slot allocation,
-// access-path selection and index registration, head compilation, and
-// head-existential analysis.
+// access-path selection and index registration (for the full plan and every
+// delta plan, over one slot space so they share a frame), head compilation,
+// and head-existential analysis.
 func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 	r, heads, steps, bound := cr.src, cr.heads, cr.steps, cr.bound
 	sa := newSlotAlloc()
 	w.finalizeSteps(steps, sa)
+	for _, dp := range cr.deltas {
+		w.finalizeSteps(dp.steps, sa)
+	}
 
 	for _, h := range heads {
 		cr.cheads = append(cr.cheads, sa.compileAtom(h))
@@ -583,11 +619,6 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 	sort.Strings(cr.bodyVars)
 	for _, v := range cr.bodyVars {
 		cr.bodySlots = append(cr.bodySlots, sa.slot(v))
-	}
-	for i, s := range steps {
-		if s.kind == stepMatch {
-			cr.deltaIdx = append(cr.deltaIdx, i)
-		}
 	}
 
 	// Identify head-existential variables and their entity types.
@@ -714,15 +745,18 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
+	// Every LHS order binds the same variables, so all delta plans share
+	// the RHS plan.
+	lhsDeltas, err := planDeltas(lhsSteps)
+	if err != nil {
+		return nil, fmt.Errorf("constraint %s: %w", con, err)
+	}
 	sa := newSlotAlloc()
 	w.finalizeSteps(lhsSteps, sa)
 	w.finalizeSteps(rhsSteps, sa)
-	cc := &CompiledConstraint{src: con, lhsSteps: lhsSteps, rhsSteps: rhsSteps,
-		nSlots: len(sa.names), slotNames: sa.names}
-	for i, s := range lhsSteps {
-		if s.kind == stepMatch {
-			cc.lhsIdx = append(cc.lhsIdx, i)
-		}
+	for _, dp := range lhsDeltas {
+		w.finalizeSteps(dp.steps, sa)
 	}
-	return cc, nil
+	return &CompiledConstraint{src: con, lhsSteps: lhsSteps, rhsSteps: rhsSteps, lhsDeltas: lhsDeltas,
+		nSlots: len(sa.names), slotNames: sa.names}, nil
 }

@@ -31,9 +31,9 @@ type derived struct {
 	tuple datalog.Tuple
 }
 
-// workerCtx is one worker's private evaluation state: an eval env with its
-// own reusable delta-index scratch, a per-rule frame pool, the output
-// buffer, and local counters merged into the workspace when the pool stops.
+// workerCtx is one worker's private evaluation state: an eval env, a
+// per-rule frame pool, the output buffer, and local counters merged into
+// the workspace when the pool stops.
 // No field is ever touched by two goroutines at the same time.
 type workerCtx struct {
 	env    evalEnv
@@ -43,12 +43,12 @@ type workerCtx struct {
 	err    error
 }
 
-// evalTask evaluates one rule with one delta step restricted to one
-// partition of the delta tuples.
+// evalTask evaluates one delta plan of a rule over one partition of the
+// delta tuples.
 type evalTask struct {
-	r         *CompiledRule
-	deltaStep int
-	delta     map[string][]datalog.Tuple
+	r     *CompiledRule
+	steps []step // one of r.deltas
+	delta map[string][]datalog.Tuple
 }
 
 // parallelRun is the worker pool serving one fixpoint call.
@@ -67,7 +67,7 @@ func newParallelRun(w *Workspace) *parallelRun {
 	p := &parallelRun{w: w, tasks: make(chan evalTask, 4*n)}
 	for i := 0; i < n; i++ {
 		ctx := &workerCtx{frames: make(map[int]*frame)}
-		ctx.env = evalEnv{w: w, stats: &ctx.stats, scratch: make(map[uint64][]datalog.Tuple)}
+		ctx.env = evalEnv{w: w, stats: &ctx.stats}
 		p.ctxs = append(p.ctxs, ctx)
 		go p.worker(ctx)
 	}
@@ -104,8 +104,8 @@ func (p *parallelRun) exec(ctx *workerCtx, task evalTask) {
 		ctx.frames[r.id] = f
 	}
 	e := &ctx.env
-	e.reset(task.deltaStep, task.delta)
-	if err := e.runSteps(r.steps, 0, f, func(f *frame) error { return ctx.emit(r, f) }); err != nil {
+	e.delta = task.delta
+	if err := e.runSteps(task.steps, 0, f, func(f *frame) error { return ctx.emit(r, f) }); err != nil {
 		ctx.err = err
 	}
 }
@@ -227,16 +227,16 @@ func (w *Workspace) fixpointParallel(t *txn, delta map[string][]datalog.Tuple) e
 						seqRules = append(seqRules, r)
 						continue
 					}
-					for _, j := range r.deltaIdx {
-						tuples := delta[r.steps[j].pred]
+					for _, dp := range r.deltas {
+						tuples := delta[dp.pred]
 						if tuples == nil {
 							continue
 						}
 						for _, part := range partitionByHash(tuples, nParts) {
 							tasks = append(tasks, evalTask{
-								r:         r,
-								deltaStep: j,
-								delta:     map[string][]datalog.Tuple{r.steps[j].pred: part},
+								r:     r,
+								steps: dp.steps,
+								delta: map[string][]datalog.Tuple{dp.pred: part},
 							})
 						}
 					}
@@ -251,13 +251,8 @@ func (w *Workspace) fixpointParallel(t *txn, delta map[string][]datalog.Tuple) e
 				}
 			}
 			for _, r := range seqRules {
-				for _, j := range r.deltaIdx {
-					if delta[r.steps[j].pred] == nil {
-						continue
-					}
-					if err := w.evalRuleInto(t, r, j, delta, next); err != nil {
-						return err
-					}
+				if err := w.evalDeltas(t, r, delta, next); err != nil {
+					return err
 				}
 			}
 		}

@@ -33,6 +33,13 @@ type PlanStep struct {
 	// or an already-bound variable when the step runs — the join/probe
 	// signature the co-partitioning analysis works from.
 	BoundCols []int
+	// FnLookup marks a match that reads by functional-key lookup: every key
+	// column of the functional predicate is bound (trivially so for a
+	// singleton p[]=v).
+	FnLookup bool
+	// Delta marks the leading step of a delta plan: it reads the round's
+	// delta tuples, not the stored relation.
+	Delta bool
 }
 
 // RulePlan is the analyzer-facing view of one planned rule. When planning
@@ -42,6 +49,11 @@ type RulePlan struct {
 	Src   *datalog.Rule
 	Heads []*datalog.Atom
 	Steps []PlanStep
+	// Deltas are the semi-naïve delta plans, one per body match in body
+	// order (none for aggregation rules): Deltas[i][0] is the match whose
+	// delta tuples drive the evaluation, the rest is ordered under its
+	// bindings.
+	Deltas [][]PlanStep
 	// Bound is the set of variables the body binds.
 	Bound map[string]bool
 	Agg   *datalog.AggSpec
@@ -90,23 +102,9 @@ func (w *Workspace) planView(cr *CompiledRule) RulePlan {
 		Bound: cr.bound,
 		Agg:   cr.agg,
 	}
-	for _, s := range cr.steps {
-		ps := PlanStep{Pred: s.pred, Atom: s.atom, Op: s.op, L: s.l, R: s.r, BoundCols: s.boundCols}
-		switch s.kind {
-		case stepMatch:
-			ps.Kind = StepMatch
-		case stepNeg:
-			ps.Kind = StepNeg
-		case stepCmp:
-			ps.Kind = StepCmp
-		case stepUDF:
-			ps.Kind = StepUDF
-			ps.Pred = s.pred
-		case stepKindCheck:
-			ps.Kind = StepKindCheck
-			ps.Pred = s.typeName
-		}
-		p.Steps = append(p.Steps, ps)
+	p.Steps = w.stepsView(cr.steps)
+	for _, dp := range cr.deltas {
+		p.Deltas = append(p.Deltas, w.stepsView(dp.steps))
 	}
 	// Head-existential analysis, mirroring finalizeRule: unbound head
 	// variables with a single-arg entity-typed head are minted entities.
@@ -141,4 +139,30 @@ func (w *Workspace) planView(cr *CompiledRule) RulePlan {
 	}
 	p.ParSafe = cr.agg == nil && len(p.HeadEx) == 0 && !hasUDF
 	return p
+}
+
+// stepsView converts planned steps to their exported view.
+func (w *Workspace) stepsView(steps []step) []PlanStep {
+	out := make([]PlanStep, 0, len(steps))
+	for _, s := range steps {
+		ps := PlanStep{Pred: s.pred, Atom: s.atom, Op: s.op, L: s.l, R: s.r, BoundCols: s.boundCols, Delta: s.delta}
+		switch s.kind {
+		case stepMatch:
+			ps.Kind = StepMatch
+			if sc := w.cat.Schema(s.pred); sc != nil && !s.delta {
+				ps.FnLookup = fnLookup(sc.KeyArity, len(s.atom.Args), s.boundCols)
+			}
+		case stepNeg:
+			ps.Kind = StepNeg
+		case stepCmp:
+			ps.Kind = StepCmp
+		case stepUDF:
+			ps.Kind = StepUDF
+		case stepKindCheck:
+			ps.Kind = StepKindCheck
+			ps.Pred = s.typeName
+		}
+		out = append(out, ps)
+	}
+	return out
 }

@@ -82,12 +82,6 @@ type Workspace struct {
 	// groups strata by condensation level for the parallel fixpoint.
 	strata []stratum
 	waves  [][]int
-	// cseN numbers the "$cse<N>" intermediate predicates minted by
-	// common-subexpression elimination.
-	cseN int
-	// seqEnv is the evaluation env reused by every single-threaded
-	// evaluation path, so fixpoint rounds stop reallocating delta indexes.
-	seqEnv evalEnv
 
 	// Unstratified holds diagnostics for rules whose negation or
 	// aggregation is cyclic through their own head (evaluated against
@@ -101,7 +95,7 @@ type Workspace struct {
 	// to a distinct large value per node).
 	EntityBase int64
 	// DisableIndexes forces every join step onto the full-scan path,
-	// bypassing functional, secondary and delta indexes. Differential tests
+	// bypassing functional and secondary indexes. Differential tests
 	// use it as the oracle evaluation mode; it must never change results.
 	DisableIndexes bool
 	// InstallCheck, when non-nil, runs over each program before Install
@@ -149,19 +143,16 @@ func NewWorkspace(udfs *UDFRegistry) *Workspace {
 		aggByBody:   make(map[string][]*CompiledRule),
 		rulesByHead: make(map[string][]*CompiledRule),
 	}
-	w.seqEnv = evalEnv{w: w, stats: &w.stats, scratch: make(map[uint64][]datalog.Tuple)}
 	for name := range w.cat.schemas {
 		w.ensureRelation(name)
 	}
 	return w
 }
 
-// seqEnvFor reconfigures the workspace's pooled sequential env. Callers must
-// not nest two seqEnvFor evaluations (constraint checking, which nests LHS
-// and RHS evaluation, builds its own envs).
-func (w *Workspace) seqEnvFor(deltaStep int, delta map[string][]datalog.Tuple) *evalEnv {
-	w.seqEnv.reset(deltaStep, delta)
-	return &w.seqEnv
+// seqEnv returns a single-threaded evaluation env over the given delta
+// tuples (nil for full evaluation), counting into the workspace's stats.
+func (w *Workspace) seqEnv(delta map[string][]datalog.Tuple) *evalEnv {
+	return &evalEnv{w: w, delta: delta, stats: &w.stats}
 }
 
 // seqFrame returns the rule's cached frame for single-threaded evaluation.
@@ -223,29 +214,20 @@ func (w *Workspace) Install(prog *datalog.Program) error {
 			w.ensureRelation(con.Lhs[0].Atom.ConcreteName())
 		}
 	}
-	// Plan and type-check every rule first, then run common-subexpression
-	// elimination over the planned batch (it may prepend synthetic subplan
-	// rules), and only then fix execution forms and assign ids — so compiled
-	// output is identical no matter how the program text interleaves rules.
 	var newRules []*CompiledRule
 	for _, r := range prog.Rules {
 		cr, err := w.planRule(r)
+		if err == nil {
+			err = w.checkRuleTypes(cr)
+		}
+		if err == nil {
+			err = w.finalizeRule(cr)
+		}
 		if err != nil {
 			restore()
 			return err
 		}
-		if err := w.checkRuleTypes(cr); err != nil {
-			restore()
-			return err
-		}
 		newRules = append(newRules, cr)
-	}
-	newRules = w.eliminateCommonPrefixes(newRules)
-	for _, cr := range newRules {
-		if err := w.finalizeRule(cr); err != nil {
-			restore()
-			return err
-		}
 		cr.id = w.ruleN
 		w.ruleN++
 		if cr.agg != nil {
@@ -292,7 +274,7 @@ func (w *Workspace) Install(prog *datalog.Program) error {
 		if cr.agg != nil {
 			err = w.recomputeAgg(t, cr, delta)
 		} else {
-			err = w.evalRuleInto(t, cr, -1, nil, delta)
+			err = w.evalRuleInto(t, cr, cr.steps, nil, delta)
 		}
 		if err != nil {
 			restore()
@@ -331,28 +313,23 @@ func (w *Workspace) rebuildIndexes() {
 	w.rulesByBody = make(map[string][]*CompiledRule)
 	w.aggByBody = make(map[string][]*CompiledRule)
 	w.rulesByHead = make(map[string][]*CompiledRule)
-	for _, r := range w.rules {
+	byBody := func(m map[string][]*CompiledRule, r *CompiledRule) {
 		seen := map[string]bool{}
-		for _, i := range r.deltaIdx {
-			p := r.steps[i].pred
-			if !seen[p] {
-				seen[p] = true
-				w.rulesByBody[p] = append(w.rulesByBody[p], r)
+		for _, s := range r.steps {
+			if s.kind == stepMatch && !seen[s.pred] {
+				seen[s.pred] = true
+				m[s.pred] = append(m[s.pred], r)
 			}
 		}
+	}
+	for _, r := range w.rules {
+		byBody(w.rulesByBody, r)
 		for _, h := range r.heads {
 			w.rulesByHead[h.ConcreteName()] = append(w.rulesByHead[h.ConcreteName()], r)
 		}
 	}
 	for _, r := range w.aggRules {
-		seen := map[string]bool{}
-		for _, i := range r.deltaIdx {
-			p := r.steps[i].pred
-			if !seen[p] {
-				seen[p] = true
-				w.aggByBody[p] = append(w.aggByBody[p], r)
-			}
-		}
+		byBody(w.aggByBody, r)
 	}
 	w.computeStrata()
 }
@@ -491,12 +468,12 @@ func (w *Workspace) rollback(t *txn) {
 	}
 }
 
-// evalRuleInto evaluates one non-aggregate rule (deltaStep -1 = full
-// evaluation) and inserts derivations, extending next with new tuples.
-func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule, deltaStep int, delta, next map[string][]datalog.Tuple) error {
-	env := w.seqEnvFor(deltaStep, delta)
+// evalRuleInto evaluates one non-aggregate rule through the given plan —
+// r.steps for full evaluation, or one of r.deltas over delta — and inserts
+// derivations, extending next with new tuples.
+func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule, steps []step, delta, next map[string][]datalog.Tuple) error {
 	f := r.seqFrame()
-	return env.runSteps(r.steps, 0, f, func(f *frame) error {
+	return w.seqEnv(delta).runSteps(steps, 0, f, func(f *frame) error {
 		return w.derive(t, r, f, next)
 	})
 }
@@ -592,9 +569,8 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]data
 	}
 	groups := make(map[string]*group)
 
-	env := w.seqEnvFor(-1, nil)
 	f := r.seqFrame()
-	err := env.runSteps(r.steps, 0, f, func(f *frame) error {
+	err := w.seqEnv(nil).runSteps(r.steps, 0, f, func(f *frame) error {
 		keys := make(datalog.Tuple, keyN)
 		for i := 0; i < keyN; i++ {
 			v, err := evalCterm(&r.cheads[0][i], f)
@@ -702,13 +678,8 @@ func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
 		sort.Slice(ruleList, func(i, j int) bool { return ruleList[i].id < ruleList[j].id })
 		sort.Slice(aggList, func(i, j int) bool { return aggList[i].id < aggList[j].id })
 		for _, r := range ruleList {
-			for _, j := range r.deltaIdx {
-				if delta[r.steps[j].pred] == nil {
-					continue
-				}
-				if err := w.evalRuleInto(t, r, j, delta, next); err != nil {
-					return err
-				}
+			if err := w.evalDeltas(t, r, delta, next); err != nil {
+				return err
 			}
 		}
 		for _, r := range aggList {
@@ -721,15 +692,28 @@ func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
 	return nil
 }
 
+// evalDeltas runs every delta plan of r whose predicate has delta tuples.
+func (w *Workspace) evalDeltas(t *txn, r *CompiledRule, delta, next map[string][]datalog.Tuple) error {
+	for _, dp := range r.deltas {
+		if delta[dp.pred] == nil {
+			continue
+		}
+		if err := w.evalRuleInto(t, r, dp.steps, delta, next); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // checkTxnConstraints verifies every installed constraint against the
-// tuples inserted by the transaction (incremental LHS restriction).
+// tuples inserted by the transaction, through the LHS delta plans.
 func (w *Workspace) checkTxnConstraints(t *txn) error {
 	for _, c := range w.constraints {
-		for _, j := range c.lhsIdx {
-			if t.inserted[c.lhsSteps[j].pred] == nil {
+		for _, dp := range c.lhsDeltas {
+			if t.inserted[dp.pred] == nil {
 				continue
 			}
-			if err := w.checkConstraintDelta(c, j, t.inserted); err != nil {
+			if err := w.checkConstraint(c, dp.steps, t.inserted); err != nil {
 				return err
 			}
 		}
@@ -739,12 +723,11 @@ func (w *Workspace) checkTxnConstraints(t *txn) error {
 
 var errSatisfied = fmt.Errorf("satisfied")
 
-func (w *Workspace) checkConstraintDelta(c *CompiledConstraint, deltaStep int, delta map[string][]datalog.Tuple) error {
-	// Constraint checking nests LHS and RHS evaluation, so it cannot share
-	// the pooled sequential env.
-	env := &evalEnv{w: w, deltaStep: deltaStep, delta: delta, stats: &w.stats}
+// checkConstraint evaluates the LHS plan lhs (c.lhsSteps, or a delta plan
+// over delta) and requires the RHS to be satisfiable for every binding.
+func (w *Workspace) checkConstraint(c *CompiledConstraint, lhs []step, delta map[string][]datalog.Tuple) error {
 	f := newFrame(c.nSlots, c.slotNames)
-	return env.runSteps(c.lhsSteps, 0, f, func(f *frame) error {
+	return w.seqEnv(delta).runSteps(lhs, 0, f, func(f *frame) error {
 		ok, err := w.rhsSatisfiable(c, f)
 		if err != nil {
 			return err
@@ -760,8 +743,7 @@ func (w *Workspace) rhsSatisfiable(c *CompiledConstraint, f *frame) (bool, error
 	if len(c.rhsSteps) == 0 {
 		return true, nil
 	}
-	env := &evalEnv{w: w, deltaStep: -1, stats: &w.stats}
-	err := env.runSteps(c.rhsSteps, 0, f, func(*frame) error { return errSatisfied })
+	err := w.seqEnv(nil).runSteps(c.rhsSteps, 0, f, func(*frame) error { return errSatisfied })
 	if err == errSatisfied {
 		return true, nil
 	}
@@ -793,19 +775,7 @@ func bindingDetail(f *frame) string {
 // checkAllConstraints verifies every constraint over the full database.
 func (w *Workspace) checkAllConstraints() error {
 	for _, c := range w.constraints {
-		env := &evalEnv{w: w, deltaStep: -1, stats: &w.stats}
-		f := newFrame(c.nSlots, c.slotNames)
-		err := env.runSteps(c.lhsSteps, 0, f, func(f *frame) error {
-			ok, err := w.rhsSatisfiable(c, f)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return &ConstraintViolation{Constraint: c.src.String(), Detail: bindingDetail(f)}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := w.checkConstraint(c, c.lhsSteps, nil); err != nil {
 			return err
 		}
 	}
@@ -903,13 +873,12 @@ func (w *Workspace) Retract(facts []Fact) error {
 		next := make(map[string][]datalog.Tuple)
 		for pred := range frontier {
 			for _, r := range w.rulesByBody[pred] {
-				for _, j := range r.deltaIdx {
-					if r.steps[j].pred != pred {
+				for _, dp := range r.deltas {
+					if dp.pred != pred {
 						continue
 					}
-					env := w.seqEnvFor(j, frontier)
 					f := r.seqFrame()
-					err := env.runSteps(r.steps, 0, f, func(f *frame) error {
+					err := w.seqEnv(frontier).runSteps(dp.steps, 0, f, func(f *frame) error {
 						return w.collectHeadDeletions(r, f, addDel, next)
 					})
 					if err != nil {
@@ -947,7 +916,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 		for pred := range deleted {
 			for _, r := range w.rulesByHead[pred] {
 				next := make(map[string][]datalog.Tuple)
-				if err := w.evalRuleInto(t, r, -1, nil, next); err != nil {
+				if err := w.evalRuleInto(t, r, r.steps, nil, next); err != nil {
 					w.rollback(t)
 					return err
 				}
@@ -1038,9 +1007,8 @@ func (w *Workspace) retractAggGroups(t *txn, r *CompiledRule) error {
 	// Groups without any remaining contribution: recomputeAgg never touches
 	// them, so compare against a fresh body evaluation.
 	alive := make(map[string]bool)
-	env := w.seqEnvFor(-1, nil)
 	f := r.seqFrame()
-	err := env.runSteps(r.steps, 0, f, func(f *frame) error {
+	err := w.seqEnv(nil).runSteps(r.steps, 0, f, func(f *frame) error {
 		keys := make(datalog.Tuple, head.KeyArity)
 		for i := 0; i < head.KeyArity; i++ {
 			v, err := evalCterm(&r.cheads[0][i], f)

@@ -117,9 +117,10 @@ func (ks *KeyStore) ParsePriv(der []byte) (*rsa.PrivateKey, error) {
 }
 
 // TrustSetup generates correlated key material for a set of principals:
-// one RSA keypair each, everyone's public keys distributed, and a distinct
-// pairwise shared secret for every unordered pair. It stands in for the
-// out-of-band key distribution the paper assumes.
+// one RSA keypair each (unless built by NewSecretsTrustSetup), everyone's
+// public keys distributed, and a distinct pairwise shared secret for every
+// unordered pair. It stands in for the out-of-band key distribution the
+// paper assumes.
 type TrustSetup struct {
 	Stores map[string]*KeyStore
 }
@@ -127,20 +128,37 @@ type TrustSetup struct {
 // NewTrustSetup builds keystores for the given principals using rng
 // (use NewDeterministicRand for reproducible experiments).
 func NewTrustSetup(principals []string, rng io.Reader) (*TrustSetup, error) {
+	return newTrustSetup(principals, rng, true)
+}
+
+// NewSecretsTrustSetup builds keystores holding only the pairwise shared
+// secrets, for policies that never sign with RSA: generating 2048-bit keys
+// nobody reads dominates a NoAuth cluster's set-up. Without key generation
+// ahead of them (rsa.GenerateKey may read a varying number of bytes), the
+// secrets are a function of rng's seed.
+func NewSecretsTrustSetup(principals []string, rng io.Reader) (*TrustSetup, error) {
+	return newTrustSetup(principals, rng, false)
+}
+
+func newTrustSetup(principals []string, rng io.Reader, withRSA bool) (*TrustSetup, error) {
 	ts := &TrustSetup{Stores: make(map[string]*KeyStore, len(principals))}
-	keys := make(map[string]*rsa.PrivateKey, len(principals))
 	for _, p := range principals {
-		k, err := GenerateRSAKey(rng)
-		if err != nil {
-			return nil, fmt.Errorf("keygen for %s: %w", p, err)
-		}
-		keys[p] = k
 		ts.Stores[p] = NewKeyStore(p)
-		ts.Stores[p].SetPrivateKey(k)
 	}
-	for _, p := range principals {
-		for _, q := range principals {
-			ts.Stores[p].AddPublicKey(q, &keys[q].PublicKey)
+	if withRSA {
+		keys := make(map[string]*rsa.PrivateKey, len(principals))
+		for _, p := range principals {
+			k, err := GenerateRSAKey(rng)
+			if err != nil {
+				return nil, fmt.Errorf("keygen for %s: %w", p, err)
+			}
+			keys[p] = k
+			ts.Stores[p].SetPrivateKey(k)
+		}
+		for _, p := range principals {
+			for _, q := range principals {
+				ts.Stores[p].AddPublicKey(q, &keys[q].PublicKey)
+			}
 		}
 	}
 	for i, p := range principals {
